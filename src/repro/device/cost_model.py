@@ -146,7 +146,8 @@ def seghdc_cost(
       ``N * d / 8`` dense unpack round-trip).
     * Memory: the packed pixel matrix and position grid are ``N * w * 8``
       bytes each (8x smaller than dense); one dense color band and the
-      integer dot-product chunk are the transient extras.
+      ``(N, k)`` ``int64`` dot products the incremental assignment keeps
+      between passes are the extras.
 
     ``counter_depth`` / ``bundle_chunk_rows`` mirror the packed backend's
     bundling tunables and only affect the packed formula.
@@ -201,7 +202,7 @@ def seghdc_cost(
         peak_memory = (
             2.0 * hv_matrix_bytes  # packed position grid + packed pixel matrix
             + band_bytes  # one dense color band during encoding
-            + chunk_rows * num_clusters * 8  # int64 dot-product chunk
+            + num_pixels * num_clusters * 8  # int64 dots kept across passes
             + num_pixels * (_FLOAT_BYTES + 4)  # intensities + labels
         )
     else:

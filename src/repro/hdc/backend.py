@@ -53,6 +53,7 @@ from repro.hdc.hypervector import (
 )
 
 __all__ = [
+    "AssignState",
     "DenseBackend",
     "HDCBackend",
     "HVStorage",
@@ -95,6 +96,8 @@ def validate_bundling_tunables(
 
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 _POPCOUNT16: np.ndarray | None = None
+#: Rows x words per block of the assignment's dot kernel (512 KiB of words).
+_DOT_BLOCK_WORDS = 1 << 16
 
 
 def popcount16_table() -> np.ndarray:
@@ -115,6 +118,18 @@ def popcount16_table() -> np.ndarray:
     return _POPCOUNT16
 
 
+def _word_popcounts(words: np.ndarray) -> np.ndarray:
+    """``uint8`` popcounts of a 2-D ``uint64`` word array, row by row.
+
+    One count per word with ``np.bitwise_count``; without it, one count per
+    16-bit quarter word from the lookup table.  Either way a row's counts
+    sum to that row's popcount.
+    """
+    if _HAS_BITWISE_COUNT:
+        return np.bitwise_count(words)
+    return popcount16_table()[np.ascontiguousarray(words).view(np.uint16)]
+
+
 def popcount_words(words: np.ndarray) -> np.ndarray:
     """Per-row popcount of a 2-D array of ``uint64`` words, as ``int64``.
 
@@ -123,12 +138,7 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
     """
     if words.ndim != 2:
         raise ValueError(f"expected a 2-D word array, got shape {words.shape}")
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-    table = popcount16_table()
-    return table[np.ascontiguousarray(words).view(np.uint16)].sum(
-        axis=1, dtype=np.int64
-    )
+    return _word_popcounts(words).sum(axis=1, dtype=np.int64)
 
 
 @dataclass(eq=False)
@@ -175,6 +185,21 @@ class HVStorage:
             f"HVStorage(backend={self.backend.name!r}, rows={self.num_rows}, "
             f"dimension={self.dimension}, nbytes={self.nbytes})"
         )
+
+
+@dataclass(eq=False)
+class AssignState:
+    """Exact per-row dot products carried between assignment passes.
+
+    ``dots[i, c]`` is the ``int64`` dot product of row ``i`` of ``storage``
+    with row ``c`` of ``centroids``, the integer centroids of the last pass.
+    All three are ``None`` until the first pass fills them; a pass over a
+    different storage starts afresh.
+    """
+
+    storage: HVStorage | None = None
+    dots: np.ndarray | None = None
+    centroids: np.ndarray | None = None
 
 
 class HDCBackend(ABC):
@@ -253,13 +278,27 @@ class HDCBackend(ABC):
         centroids: np.ndarray,
         *,
         chunk_size: int = 8192,
+        state: "AssignState | None" = None,
     ) -> tuple[np.ndarray, float]:
         """Nearest centroid per row by cosine distance.
 
         ``centroids`` is the ``(k, d)`` float64 matrix of integer-valued
         bundles.  Returns ``(labels, inertia)`` where ``inertia`` is the sum
         of ``1 - cosine_similarity`` over the winning assignments.
+        ``state`` is the object :meth:`new_assign_state` returned for this
+        storage; a backend that keeps none ignores it.
         """
+
+    def new_assign_state(self) -> "AssignState | None":
+        """Fresh state for a sequence of :meth:`assign` calls, or ``None``.
+
+        A backend returns a state when its :meth:`assign` can carry exact
+        per-row work from one call to the next.  The HD K-Means loop takes
+        a state as the cue to update centroids by churn deltas and to stop
+        calling kernels at a fixed point; without one it runs the
+        historical full-recompute loop.
+        """
+        return None
 
     # ------------------------------------------------------------------ #
     # kernel 3: masked bundling
@@ -352,8 +391,13 @@ class DenseBackend(HDCBackend):
         centroids: np.ndarray,
         *,
         chunk_size: int = 8192,
+        state: "AssignState | None" = None,
     ) -> tuple[np.ndarray, float]:
-        """Chunked float32 cosine assignment (the historical path)."""
+        """Chunked float32 cosine assignment (the historical path).
+
+        Keeps no state (``state`` is ignored), so the dense backend stays
+        the full-recompute oracle of the incremental packed path.
+        """
         hvs = storage.data
         num_pixels = hvs.shape[0]
         labels = np.empty(num_pixels, dtype=np.int32)
@@ -504,35 +548,62 @@ class PackedBackend(HDCBackend):
             planes[plane_index] = pack_hvs(bits, dimension=dimension)
         return planes
 
+    def new_assign_state(self) -> AssignState:
+        """Packed assignment carries exact dot products between passes."""
+        return AssignState()
+
     def assign(
         self,
         storage: HVStorage,
         centroids: np.ndarray,
         *,
         chunk_size: int = 8192,
+        state: AssignState | None = None,
     ) -> tuple[np.ndarray, float]:
-        """Integer cosine assignment via AND + popcount bit-planes."""
-        words = storage.data
-        num_pixels = words.shape[0]
-        num_clusters = centroids.shape[0]
+        """Integer cosine assignment via AND + popcount bit-planes.
+
+        **Exact dots.**  Row ``x`` and integer centroid ``c`` meet in
+        ``x . c = sum_j 2^j * popcount(x & plane_j(c))`` — one AND +
+        popcount pass over the storage per bit-plane of ``c``, so a
+        centroid of ``N`` members costs ``~log2(N)`` passes.  Similarity
+        ``dots / (|x| |c|)``, its argmax and the inertia are then taken in
+        chunks of ``chunk_size`` rows, in the same order on every call.
+
+        **Dot state.**  With ``state`` (from :meth:`new_assign_state`), the
+        ``(n, k)`` ``int64`` dots and the integer centroids they belong to
+        survive the call.  The next call on the same storage forms
+        ``delta = c_new - c_old`` per cluster and updates only that column:
+
+        * ``delta == 0`` (the cluster's members did not change): no pass.
+        * Otherwise ``delta`` has a positive part ``P`` (rows that joined)
+          and a negative part ``N`` (rows that left).  The negative part is
+          folded into an offset: with ``m = max(N)``,
+          ``x . delta = x . (delta + m) - m * popcount(x)``, and
+          ``delta + m`` is non-negative with ``bit_length(max(P) + m)``
+          planes, about ``log2(churn)`` instead of ``log2(N)``.  The row
+          popcounts are cached on the storage.
+        * When the full centroid has no more planes than the delta (a large
+          churn, or a cluster rebuilt from scratch), the column is
+          recomputed from the full planes instead.
+        * When ``delta`` of this cluster is exactly the negation of an
+          earlier cluster's — always so for ``k = 2`` while both clusters
+          keep members, since the rows one loses the other gains — that
+          cluster's column change is reused with its sign flipped.
+
+        Every step is exact integer arithmetic, so the dots, and from them
+        the labels and inertia, are bit-identical to a stateless call.
+        """
+        num_pixels = storage.num_rows
         centroid_norms = np.linalg.norm(centroids, axis=1)
         centroid_norms[centroid_norms == 0.0] = 1.0
-        planes = self.centroid_bit_planes(centroids, storage.dimension)
+        dots = self._exact_dots(storage, centroids, chunk_size, state)
         row_norms = np.sqrt(storage.row_popcounts().astype(np.float64))
         row_norms[row_norms == 0.0] = 1.0
         labels = np.empty(num_pixels, dtype=np.int32)
         total_distance = 0.0
         for start in range(0, num_pixels, chunk_size):
             stop = min(start + chunk_size, num_pixels)
-            chunk = words[start:stop]
-            dots = np.zeros((stop - start, num_clusters), dtype=np.int64)
-            for plane_index in range(planes.shape[0]):
-                for cluster in range(num_clusters):
-                    dots[:, cluster] += (
-                        popcount_words(chunk & planes[plane_index, cluster])
-                        << plane_index
-                    )
-            similarity = dots / (
+            similarity = dots[start:stop] / (
                 row_norms[start:stop, None] * centroid_norms[None, :]
             )
             chunk_labels = np.argmax(similarity, axis=1)
@@ -541,6 +612,105 @@ class PackedBackend(HDCBackend):
                 np.sum(1.0 - similarity[np.arange(stop - start), chunk_labels])
             )
         return labels, total_distance
+
+    def _exact_dots(
+        self,
+        storage: HVStorage,
+        centroids: np.ndarray,
+        chunk_size: int,
+        state: AssignState | None,
+    ) -> np.ndarray:
+        """``(n, k)`` int64 dots of every row with ``centroids``.
+
+        Starts from ``state`` when it holds the dots of this storage and
+        updates them by the per-cluster deltas (see :meth:`assign`);
+        records the result back into ``state``.
+        """
+        planes = self.centroid_bit_planes(centroids, storage.dimension)
+        integral = np.rint(centroids).astype(np.int64)
+        if (
+            state is None
+            or state.storage is not storage
+            or state.centroids.shape != integral.shape
+        ):
+            dots = self._plane_dots(storage, planes, chunk_size)
+        else:
+            dots = state.dots
+            changes: list[tuple[np.ndarray, np.ndarray]] = []
+            for cluster, delta in enumerate(integral - state.centroids):
+                if not delta.any():
+                    continue
+                change = next(
+                    (-done for seen, done in changes if np.array_equal(seen, -delta)),
+                    None,
+                )
+                if change is None:
+                    offset = max(0, -int(delta.min()))
+                    full = int(integral[cluster].max()).bit_length()
+                    if (int(delta.max()) + offset).bit_length() < full:
+                        shifted = self.centroid_bit_planes(
+                            (delta + offset)[None], storage.dimension
+                        )
+                        change = self._plane_dots(storage, shifted, chunk_size)[:, 0]
+                        change -= offset * storage.row_popcounts()
+                    else:
+                        change = self._plane_dots(
+                            storage, planes[:, cluster : cluster + 1], chunk_size
+                        )[:, 0]
+                        change -= dots[:, cluster]
+                    changes.append((delta, change))
+                dots[:, cluster] += change
+        if state is not None:
+            state.storage, state.dots, state.centroids = storage, dots, integral
+        return dots
+
+    @staticmethod
+    def _plane_dots(
+        storage: HVStorage, planes: np.ndarray, chunk_size: int
+    ) -> np.ndarray:
+        """``(n, m)`` int64 dots of every row with ``m`` bit-plane stacks.
+
+        ``planes`` is ``(num_planes, m, words)`` as built by
+        :meth:`centroid_bit_planes`; all-zero planes are skipped.  The
+        per-word popcounts of one column are summed over its planes first,
+        by Horner's rule (``acc = acc * 2^gap + counts``), and reduced over
+        the words of a row once; a cache-sized block of rows keeps the
+        temporaries resident.  Each word contributes less than
+        ``64 * 2^num_planes``, so ``int32`` holds the sums up to 24 planes.
+        """
+        words = storage.data
+        num_planes, count, width = planes.shape
+        block = max(1, min(chunk_size, _DOT_BLOCK_WORDS // width))
+        dtype = np.int32 if num_planes <= 24 else np.int64
+        columns = [  # non-zero planes of each column, highest first
+            [
+                index
+                for index in range(num_planes - 1, -1, -1)
+                if planes[index, column].any()
+            ]
+            for column in range(count)
+        ]
+        dots = np.zeros((words.shape[0], count), dtype=np.int64)
+        for start in range(0, words.shape[0], block):
+            chunk = words[start : start + block]
+            masked = np.empty_like(chunk)
+            for column, active in enumerate(columns):
+                if not active:
+                    continue
+                total = None
+                for index in active:
+                    np.bitwise_and(chunk, planes[index, column], out=masked)
+                    counts = _word_popcounts(masked)
+                    if total is None:
+                        total = counts.astype(dtype)
+                    else:
+                        total <<= lowest - index
+                        total += counts
+                    lowest = index
+                dots[start : start + block, column] = (
+                    total.sum(axis=1, dtype=np.int64) << lowest
+                )
+        return dots
 
     def bundle_masked(self, storage: HVStorage, mask: np.ndarray) -> np.ndarray:
         """Bit-sliced vertical-count bundle of the rows selected by ``mask``.

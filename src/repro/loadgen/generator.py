@@ -6,10 +6,11 @@ Two driving disciplines, one record shape:
   not earlier ones finished (the honest model of independent users; a slow
   server faces a growing backlog instead of a conveniently self-throttling
   client).  A dispatcher thread walks the precomputed arrival list and
-  hands each request to a bounded worker pool; when all ``concurrency``
-  senders are busy the dispatch *timestamp* still honors the schedule and
-  the queueing delay shows up in the measured latency — exactly as it
-  would for a real user.
+  hands each request to a bounded worker pool.  Latency is measured from
+  the request's *scheduled* arrival, not from the moment a sender picked
+  it up, so when all ``concurrency`` senders are busy the time a due
+  request waits for one shows up in its latency — exactly as it would for
+  a real user.
 * **Closed loop** — ``concurrency`` senders issue back-to-back requests
   for the schedule's duration (each waits for its response before sending
   the next).  This measures the server's saturated throughput rather than
@@ -102,8 +103,12 @@ class RequestRecord:
 
     @property
     def latency_seconds(self) -> float:
-        """End-to-end wall time from dispatch to outcome."""
-        return self.done_at - self.sent_at
+        """Wall time from the scheduled arrival to the outcome.
+
+        Includes the wait for a free sender (``sent_at - scheduled_at``),
+        which an open-loop run must count as queueing delay.
+        """
+        return self.done_at - self.scheduled_at
 
     def as_dict(self) -> dict:
         """JSON-ready form (written into the per-run result folder)."""

@@ -8,11 +8,29 @@ A revised K-Means over pixel hypervectors:
 * the initial centroids are the pixels with the **largest color difference**
   (most extreme mean intensities), not random picks;
 * the loop runs for a fixed, preset number of iterations (10 by default in
-  the paper, 3 in the latency experiments); with ``early_stop=True`` the
-  loop additionally stops as soon as an assignment pass reproduces the
-  previous labels — a *true* fixed point (identical member sets bundle to
-  identical centroids, so every further iteration returns the same labels),
-  which makes early stopping bit-exact with the full run.
+  the paper, 3 in the latency experiments).  An assignment pass that
+  reproduces the previous labels is a *true* fixed point: identical member
+  sets bundle to identical centroids, so every further iteration returns
+  the same labels and inertia.  ``early_stop=True`` stops the loop there,
+  bit-exact with the full run.
+
+**Incremental iterations.**  When the backend keeps assignment state
+(:meth:`HDCBackend.new_assign_state`; the packed backend does), the cost
+of a pass follows the label churn instead of the image size:
+
+* the backend keeps every pixel's exact ``int64`` dot products with the
+  centroids and updates them by the centroid deltas only (see
+  :meth:`repro.hdc.backend.PackedBackend.assign`);
+* the centroid update after the first pass is
+  ``C + bundle(joined rows) - bundle(left rows)``, bundling only the rows
+  that changed cluster;
+* at a fixed point the loop stops calling kernels and fills the remaining
+  history entries with the fixed labels.
+
+So on the packed backend ``early_stop`` changes only ``iterations_run``
+and the history length, not the cost.  The dense backend keeps no state
+and runs the historical full-recompute loop, which keeps it an
+independent oracle for the incremental one.
 
 The clusterer also exposes a **warm-start seam**: :meth:`HDKMeans.fit`
 accepts ``initial_centroids=`` to seed the loop from externally supplied
@@ -85,8 +103,10 @@ class ClusteringResult:
     ``labels`` has one entry per pixel (flattened).  ``history`` holds the
     label assignment after each iteration when history recording is enabled
     (needed to reproduce Fig. 8).  ``iterations_run`` is the number of
-    assignment passes actually executed — equal to ``num_iterations``
-    unless early stopping cut the loop at a fixed point.
+    iterations the result covers — equal to ``num_iterations`` unless
+    early stopping cut the loop at a fixed point.  (Without early stopping
+    an incremental run stops calling kernels at a fixed point but still
+    counts every iteration: each would reproduce the same labels.)
     ``warm_started`` records whether the run was seeded from externally
     supplied centroids instead of the intensity-extreme pixels.
     """
@@ -120,8 +140,11 @@ class HDKMeans:
         centroids, so every subsequent iteration would reproduce the same
         assignment — the cut is a true fixed point and the final labels and
         centroids are bit-identical to the full ``num_iterations`` run.
-        Off by default to preserve the paper's fixed-iteration semantics
-        (and the historical per-iteration timing profile).
+        With a backend that keeps assignment state (packed) the full run
+        stops calling kernels at that fixed point too, so the knob changes
+        only ``iterations_run`` and the history length, not the cost; it
+        saves time on the dense backend alone.  Off by default to preserve
+        the paper's fixed-iteration semantics.
     backend:
         Compute backend (name or instance) used for the similarity and
         bundling kernels.  Defaults to the dense uint8 backend.  When
@@ -225,6 +248,7 @@ class HDKMeans:
                 flat_intensity, self.num_clusters
             )
             centroids = backend.unpack(storage, seed_indices).astype(np.float64)
+        state = backend.new_assign_state()
         labels = np.zeros(num_pixels, dtype=np.int32)
         previous_labels: np.ndarray | None = None
         history: list[np.ndarray] = []
@@ -232,21 +256,31 @@ class HDKMeans:
         iterations_run = 0
         for _ in range(self.num_iterations):
             labels, inertia = backend.assign(
-                storage, centroids, chunk_size=self.chunk_size
+                storage, centroids, chunk_size=self.chunk_size, state=state
             )
             iterations_run += 1
             if self.record_history:
                 history.append(labels.copy())
-            if (
-                self.early_stop
-                and previous_labels is not None
-                and np.array_equal(labels, previous_labels)
-            ):
+            if previous_labels is not None and np.array_equal(labels, previous_labels):
                 # Fixed point: the members of every cluster are unchanged,
                 # so the centroid update below would rebuild the exact
-                # centroids this assignment just used; skip it and stop.
-                break
-            centroids = self._update_centroids(backend, storage, labels, centroids)
+                # centroids this assignment just used, and every further
+                # pass would return these labels and this inertia.
+                if self.early_stop:
+                    break
+                if state is not None:
+                    remaining = self.num_iterations - iterations_run
+                    if self.record_history:
+                        history.extend(labels.copy() for _ in range(remaining))
+                    iterations_run = self.num_iterations
+                    break
+            centroids = self._update_centroids(
+                backend,
+                storage,
+                labels,
+                centroids,
+                previous_labels if state is not None else None,
+            )
             previous_labels = labels
         return ClusteringResult(
             labels=labels,
@@ -263,15 +297,48 @@ class HDKMeans:
         storage: HVStorage,
         labels: np.ndarray,
         previous: np.ndarray,
+        previous_labels: np.ndarray | None = None,
     ) -> np.ndarray:
         """New centroids: element-wise sums (bundles) of member HVs.
 
         Empty clusters keep their previous centroid so the cluster count never
-        silently shrinks.
+        silently shrinks.  With ``previous_labels`` (the labels ``previous``
+        was bundled from), a cluster whose members changed is updated by its
+        churn alone: ``previous + bundle(joined rows) - bundle(left rows)``.
+        The moved rows are bundled once per (from, to) pair and shared by
+        the two clusters they touch.  A cluster that had no members — its
+        centroid is a kept or seed vector, not a bundle — or whose churn is
+        at least its member count is bundled in full.
         """
         centroids = previous.copy()
-        for cluster in range(self.num_clusters):
-            members = labels == cluster
-            if np.any(members):
-                centroids[cluster] = backend.bundle_masked(storage, members)
+        sizes = np.bincount(labels, minlength=self.num_clusters)
+        if previous_labels is None:
+            for cluster in np.flatnonzero(sizes):
+                centroids[cluster] = backend.bundle_masked(storage, labels == cluster)
+            return centroids
+        moved = labels != previous_labels
+        origins, targets = previous_labels[moved], labels[moved]
+        previous_sizes = np.bincount(previous_labels, minlength=self.num_clusters)
+        transitions: dict[tuple[int, int], np.ndarray] = {}
+
+        def transition(origin: int, target: int) -> np.ndarray:
+            key = (origin, target)
+            if key not in transitions:
+                transitions[key] = backend.bundle_masked(
+                    storage, moved & (previous_labels == origin) & (labels == target)
+                )
+            return transitions[key]
+
+        for cluster in np.flatnonzero(sizes):
+            arriving, leaving = targets == cluster, origins == cluster
+            churn = np.count_nonzero(arriving) + np.count_nonzero(leaving)
+            if churn == 0:
+                continue
+            if previous_sizes[cluster] == 0 or churn >= sizes[cluster]:
+                centroids[cluster] = backend.bundle_masked(storage, labels == cluster)
+                continue
+            for origin in np.unique(origins[arriving]):
+                centroids[cluster] += transition(int(origin), int(cluster))
+            for target in np.unique(targets[leaving]):
+                centroids[cluster] -= transition(int(cluster), int(target))
         return centroids

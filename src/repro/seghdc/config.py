@@ -87,8 +87,10 @@ class SegHDCConfig:
         labels and centroids stay bit-identical to the full
         ``num_iterations`` run (see :class:`repro.seghdc.clusterer.HDKMeans`);
         only the iteration count — reported as ``iterations_run`` in every
-        result workload — changes.  Off by default to preserve the paper's
-        fixed-iteration latency profile.
+        result workload — and the history length change.  On the packed
+        backend it does not change the cost either: the full run stops
+        calling kernels at the same fixed point.  Off by default to
+        preserve the paper's fixed-iteration semantics.
     """
 
     dimension: int = 10_000

@@ -182,6 +182,35 @@ class TestGenerator:
         assert summary["duplicated"] == 0
         assert summary["by_status"] == {"ok": 50}
 
+    def test_open_loop_latency_includes_wait_for_a_free_sender(self):
+        stall = 0.3
+        calls: list = []
+
+        def seg(image):
+            if not calls:
+                time.sleep(stall)  # the only sender is busy past the next arrival
+            calls.append(1)
+            return image
+
+        report = LoadGenerator(
+            CallableTarget(seg),
+            ConstantSchedule(50.0, 0.04),  # arrivals at 0.02 s and 0.04 s
+            self._mix(),
+            mode="open",
+            concurrency=1,
+            stats_interval=0,
+        ).run()
+        first, second = sorted(report.records, key=lambda r: r.index)
+        waited = second.sent_at - second.scheduled_at
+        assert waited >= stall - (second.scheduled_at - first.scheduled_at) - 0.01
+        assert second.latency_seconds == pytest.approx(
+            second.done_at - second.scheduled_at
+        )
+        assert second.latency_seconds >= waited
+        assert report.summary()["latency"]["mean"] == pytest.approx(
+            (first.latency_seconds + second.latency_seconds) / 2
+        )
+
     def test_closed_loop_counts_and_stops(self):
         calls = []
 
