@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 #: Shape mix both scenarios use: small grayscale frames, two shapes so the
-#: cluster tier's shape affinity actually routes.
+#: servers' per-shape batching and grid caches see more than one key.
 _MIX = [((48, 64), 3.0), ((32, 40), 1.0)]
 
 
@@ -165,7 +165,7 @@ def run_cluster_chaos(folder: ResultFolder, *, quick: bool = False) -> dict:
     The fleet is real: a :class:`ReplicaSupervisor` boots two ``seghdc
     serve`` subprocesses behind a started gateway, and the chaos action
     SIGKILLs one replica's process mid-run — its keep-alive connections
-    drop for real, the prober takes it off the ring, the gateway's bounded
+    drop for real, the prober takes it out of routing, the gateway's bounded
     failover re-sends in-flight requests to the survivor (exactly once),
     and the supervisor restarts the corpse within its budget.
     """

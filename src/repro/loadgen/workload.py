@@ -32,8 +32,8 @@ class ShapeMix:
     ----------
     entries:
         ``[(shape, weight), ...]`` where each shape is ``(height, width)``
-        (grayscale — the wire's cheapest form, and shape affinity only
-        looks at dimensions).  Weights are relative.
+        (grayscale — the wire's cheapest form, and the servers' per-shape
+        batching only looks at dimensions).  Weights are relative.
     seed:
         Decorrelates the draw sequence between mixes; the same
         ``(entries, seed)`` always assigns the same shape and pixels to a

@@ -28,8 +28,8 @@ user-registered algorithm) into a long-lived concurrent service:
   ``GET /stats``), wired to the CLI as ``seghdc serve``;
 * :mod:`repro.serving.cluster` — the multi-node tier: a
   :class:`ClusterGateway` routing the same HTTP surface across a fleet of
-  replica servers by shape affinity (consistent-hash ring, health-probed
-  membership, exactly-once failover), with a :class:`ReplicaSupervisor`
+  replica servers by least outstanding requests (health-probed membership,
+  exactly-once failover), with a :class:`ReplicaSupervisor`
   spawning and restarting the replica processes (``seghdc cluster``);
 * :class:`repro.serving.autoscale.Autoscaler` — the latency-SLO control
   loop (OBSERVE ``/stats`` → DECIDE against an :class:`AutoscalePolicy`
@@ -53,7 +53,6 @@ from repro.serving.autoscale import (
 from repro.serving.batcher import ShapeBatcher
 from repro.serving.cluster import (
     ClusterGateway,
-    ConsistentHashRing,
     HealthProber,
     ReplicaClient,
     ReplicaSupervisor,
@@ -81,7 +80,6 @@ __all__ = [
     "Autoscaler",
     "BoundedJobQueue",
     "ClusterGateway",
-    "ConsistentHashRing",
     "ControlError",
     "ControlPlane",
     "ControlPlaneActuator",

@@ -1,14 +1,13 @@
 """Multi-node serving: a sharded replica fleet behind one gateway.
 
-The cluster layer promotes the single-host shape-affinity insight to a
-fleet: each replica's per-shape grid cache is its expensive warm state, so a
-consistent-hash ring (:mod:`~repro.serving.cluster.ring`) pins every
-``(H, W, C)`` to one replica, a gateway
+The cluster layer scales the single-host front end out to a fleet: a gateway
 (:mod:`~repro.serving.cluster.gateway`) re-exposes the single-host HTTP
-surface and fans work across the fleet with bounded exactly-once failover, a
-health prober (:mod:`~repro.serving.cluster.health`) drives ring membership
-with hysteresis, and a supervisor (:mod:`~repro.serving.cluster.supervisor`)
-spawns and restarts the ``seghdc serve`` replica processes themselves.
+surface and sends every same-shape group to the live replica with the fewest
+requests in flight, with bounded exactly-once failover; a health prober
+(:mod:`~repro.serving.cluster.health`) keeps the alive set the router picks
+from, with hysteresis; and a supervisor
+(:mod:`~repro.serving.cluster.supervisor`) spawns and restarts the
+``seghdc serve`` replica processes themselves.
 
 Usage::
 
@@ -30,17 +29,10 @@ from repro.serving.cluster.client import (
 )
 from repro.serving.cluster.gateway import ClusterGateway
 from repro.serving.cluster.health import HealthProber, ReplicaHealth
-from repro.serving.cluster.ring import (
-    DEFAULT_VNODES,
-    ConsistentHashRing,
-    shape_key_bytes,
-)
 from repro.serving.cluster.supervisor import ReplicaProcess, ReplicaSupervisor
 
 __all__ = [
     "ClusterGateway",
-    "ConsistentHashRing",
-    "DEFAULT_VNODES",
     "HealthProber",
     "ReplicaClient",
     "ReplicaHTTPError",
@@ -48,5 +40,4 @@ __all__ = [
     "ReplicaProcess",
     "ReplicaSupervisor",
     "ReplicaUnavailable",
-    "shape_key_bytes",
 ]

@@ -136,7 +136,14 @@ class _StreamReader:
                     f"frame {index}: {payload.decode('utf-8', 'replace')}"
                 )
             yield int(index), array_from_npy_bytes(payload)
-        self._clean = True
+        # Read the chunked end marker too: until it is consumed the response
+        # stays open and the next request on the recycled connection fails
+        # with ``ResponseNotReady``.  Every frame has arrived by now, so a
+        # failure here only costs the connection.
+        try:
+            self._clean = self._response.read() == b""
+        except _TRANSPORT_ERRORS:
+            pass
 
     def close(self) -> None:
         """Recycle or discard the underlying connection (idempotent)."""

@@ -1,4 +1,4 @@
-"""Shape-affinity HTTP gateway over a fleet of segmentation replicas.
+"""Least-loaded HTTP gateway over a fleet of segmentation replicas.
 
 :class:`ClusterGateway` is the fleet's single front door.  It re-exposes the
 single-host wire surface — ``POST /v1/segment`` (JSON / base64 / raw
@@ -6,22 +6,23 @@ octet-stream bodies), ``POST /v1/segment-stream``, ``GET /healthz``,
 ``GET /stats`` — and fans the work across N
 :class:`~repro.serving.http.SegmentationHTTPServer` replicas:
 
-* **Routing** is shape-affine: each request's images are grouped by
-  ``(H, W, C)`` and every group is sent to the replica the consistent-hash
-  ring (:mod:`repro.serving.cluster.ring`) assigns that shape, so each
-  replica's per-shape grid cache stays hot and the fleet builds each shape's
-  position grid exactly once.
+* **Routing** is least outstanding requests: each request's images are
+  grouped by ``(H, W, C)`` (the replica engine's batching unit) and every
+  group goes to the live replica with the fewest requests in flight from
+  this gateway, ties broken round-robin.  Concurrent same-shape groups —
+  the tiles of one gigapixel image — therefore run on different replicas
+  instead of queueing on one.
 * **Failover** is bounded and exactly-once: a transport failure
   (:class:`~repro.serving.cluster.client.ReplicaUnavailable`) moves the
-  *undelivered* images of the group to the next distinct ring node, never
-  re-sending frames the client already received; after ``max_attempts``
-  distinct replicas the remaining images fail loudly (503 for the batch
-  endpoint, error frames for the stream).
+  *undelivered* images of the group to the least-loaded replica not yet
+  tried, never re-sending frames the client already received; after
+  ``max_attempts`` distinct replicas the remaining images fail loudly (503
+  for the batch endpoint, error frames for the stream).
 * **Health** drives membership: a background
   :class:`~repro.serving.cluster.health.HealthProber` polls every replica's
-  ``/healthz`` + ``/stats`` and flips ring membership through hysteresis, so
-  a dead replica stops receiving traffic within one probe interval and a
-  recovered one earns its arcs back.
+  ``/healthz`` + ``/stats`` and keeps the alive set through hysteresis; the
+  router only ever picks from that set, so a dead replica stops receiving
+  traffic within one probe interval and a recovered one rejoins at once.
 
 The gateway reuses the single-host front end's request decoding
 (:func:`repro.serving.http.decode_segment_request`) and HTTP plumbing
@@ -34,19 +35,20 @@ Differences from a single replica's surface, by design:
 * JSON segment responses carry ``"replica"`` (who served the group) and a
   computed ``num_clusters``, but no per-image ``workload`` echo — workload
   accounting lives in each replica's ``/stats``.
-* ``GET /stats`` is the fleet rollup: gateway HTTP counters, the routing
-  table (shape → replica), ring membership, per-replica health/latency/
-  cache/bytes-moved, and fleet totals (the smoke asserts fleet-wide
-  ``position_grid_builds`` equals the number of distinct shapes served).
+* ``GET /stats`` is the fleet rollup: gateway HTTP counters, per-replica
+  ``outstanding`` (in flight now) and ``routed`` (groups dispatched) counts,
+  per-replica health/latency/cache/bytes-moved, and fleet totals.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import queue
 import secrets
 import threading
 import time
+from collections import Counter
 from typing import Iterator
 
 import numpy as np
@@ -57,7 +59,6 @@ from repro.serving.cluster.client import (
     ReplicaUnavailable,
 )
 from repro.serving.cluster.health import HealthProber
-from repro.serving.cluster.ring import DEFAULT_VNODES, ConsistentHashRing
 from repro.serving.http import (
     FRAME_MAGIC,
     MAX_IMAGES_PER_REQUEST,
@@ -81,12 +82,12 @@ __all__ = ["ClusterGateway"]
 
 
 def _shape_label(shape: tuple) -> str:
-    """``(H, W, C)`` -> ``"HxWxC"`` for routing-table/JSON keys."""
+    """``(H, W, C)`` -> ``"HxWxC"`` for error messages and thread names."""
     return "x".join(str(int(part)) for part in shape)
 
 
 class ClusterGateway:
-    """HTTP gateway routing segment traffic across replicas by shape.
+    """HTTP gateway routing segment traffic to the least-loaded replica.
 
     Parameters
     ----------
@@ -96,12 +97,10 @@ class ClusterGateway:
     probe_interval / fail_threshold / recover_threshold:
         Health-prober cadence and hysteresis (see
         :class:`~repro.serving.cluster.health.HealthProber`).
-    vnodes:
-        Virtual nodes per replica on the consistent-hash ring.
     max_attempts:
         Distinct replicas tried per shape group before giving up (the
-        bounded-retry contract: attempt 1 is the ring owner, each further
-        attempt the next distinct node clockwise).
+        bounded-retry contract: each attempt goes to the least-loaded live
+        replica not yet tried).
     replica_timeout:
         Socket timeout for gateway→replica requests, seconds.
     """
@@ -114,16 +113,12 @@ class ClusterGateway:
         probe_interval: float = 0.5,
         fail_threshold: int = 2,
         recover_threshold: int = 1,
-        vnodes: int = DEFAULT_VNODES,
         max_attempts: int = 3,
         replica_timeout: float = 120.0,
     ) -> None:
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be positive, got {max_attempts}")
-        self._ring = ConsistentHashRing(vnodes=vnodes)
         self._prober = HealthProber(
-            on_dead=self._on_replica_dead,
-            on_alive=self._on_replica_alive,
             interval=probe_interval,
             fail_threshold=fail_threshold,
             recover_threshold=recover_threshold,
@@ -132,7 +127,9 @@ class ClusterGateway:
         self._replica_timeout = float(replica_timeout)
         self._lock = threading.Lock()
         self._clients: dict[str, ReplicaClient] = {}
-        self._routing: dict[str, str] = {}
+        self._outstanding: Counter = Counter()
+        self._routed: Counter = Counter()
+        self._cursor = 0
         self._failovers = 0
         self.http_stats = _HttpStats()
         self.instance_id = secrets.token_hex(8)
@@ -153,10 +150,9 @@ class ClusterGateway:
 
         Re-registering an id (the supervisor restarting a replica on a new
         ephemeral port) swaps the client atomically: the old connection pool
-        is closed, the prober restarts the hysteresis clock, and because
-        ring placement depends only on the replica *id*, the shapes the old
-        incarnation owned come straight back to the new one — warming one
-        replica instead of reshuffling the fleet.
+        is closed and the prober restarts the hysteresis clock.  Requests
+        still in flight on the old client keep their slot in the id's
+        ``outstanding`` count until they end.
         """
         client = ReplicaClient(
             str(replica_id), host, port, timeout=self._replica_timeout
@@ -176,29 +172,11 @@ class ClusterGateway:
         if client is not None:
             client.close()
 
-    def _on_replica_alive(self, replica_id: str) -> None:
-        """Prober callback: a replica passed hysteresis — give it arcs."""
-        self._ring.add(replica_id)
-
-    def _on_replica_dead(self, replica_id: str) -> None:
-        """Prober callback: a replica failed hysteresis — pull its arcs."""
-        self._ring.remove(replica_id)
-
-    def _client_for(self, replica_id: str) -> "ReplicaClient | None":
-        """The live client for a replica id (``None`` if unregistered)."""
-        with self._lock:
-            return self._clients.get(replica_id)
-
     def wait_ready(self, timeout: float = 30.0) -> None:
         """Block until every registered replica is alive and routable."""
         with self._lock:
             wanted = list(self._clients)
         self._prober.wait_alive(wanted, timeout=timeout)
-
-    @property
-    def ring(self) -> ConsistentHashRing:
-        """The routing ring (tests inspect placement through this)."""
-        return self._ring
 
     @property
     def prober(self) -> HealthProber:
@@ -268,19 +246,50 @@ class ClusterGateway:
     # ------------------------------------------------------------------ #
     # routing core
     # ------------------------------------------------------------------ #
-    def _note_routing(self, shape: tuple, replica_id: str) -> None:
-        """Record the observed shape→replica placement for ``/stats``."""
-        with self._lock:
-            self._routing[_shape_label(shape)] = replica_id
-
     def _note_failover(self) -> None:
         """Count one replica giving up a group mid-request."""
         with self._lock:
             self._failovers += 1
 
-    def _next_replica(self, shape: tuple, tried: set) -> "str | None":
-        """The next untried replica for a shape, in ring failover order."""
-        return next(self._ring.walk(shape, exclude=tried), None)
+    @contextlib.contextmanager
+    def _dispatch(self, tried: set) -> Iterator:
+        """Hold an in-flight slot on the least-loaded untried live replica.
+
+        Yields ``(replica_id, client)``, or ``None`` when every live replica
+        has been tried.  The pick and the ``outstanding`` increment happen
+        under one lock, so concurrent groups see each other's choices; ties
+        go to the first replica in the sorted live set rotated by a cursor
+        that advances on every pick (round-robin).  The slot is released
+        however the body exits — success, a replica error, or a stream that
+        dies mid-way — so a replica's count never leaks.
+        """
+        alive = self._prober.alive_replicas()
+        with self._lock:
+            candidates = [
+                replica_id
+                for replica_id in alive
+                if replica_id not in tried and replica_id in self._clients
+            ]
+            if not candidates:
+                picked = None
+            else:
+                turn = self._cursor % len(candidates)
+                self._cursor += 1
+                replica_id = min(
+                    candidates[turn:] + candidates[:turn],
+                    key=self._outstanding.__getitem__,
+                )
+                self._outstanding[replica_id] += 1
+                self._routed[replica_id] += 1
+                picked = replica_id, self._clients[replica_id]
+        if picked is None:
+            yield None
+            return
+        try:
+            yield picked
+        finally:
+            with self._lock:
+                self._outstanding[picked[0]] -= 1
 
     def _segment_group(
         self, shape: tuple, arrays: list
@@ -296,22 +305,16 @@ class ClusterGateway:
         tried: set = set()
         last_error: "Exception | None" = None
         for _ in range(self._max_attempts):
-            replica_id = self._next_replica(shape, tried)
-            if replica_id is None:
-                break
-            client = self._client_for(replica_id)
-            if client is None:
-                tried.add(replica_id)
-                continue
-            try:
-                labels = client.segment_raw(arrays)
-            except ReplicaUnavailable as exc:
-                tried.add(replica_id)
-                last_error = exc
-                self._note_failover()
-                continue
-            self._note_routing(shape, replica_id)
-            return labels, replica_id
+            with self._dispatch(tried) as picked:
+                if picked is None:
+                    break
+                replica_id, client = picked
+                try:
+                    return client.segment_raw(arrays), replica_id
+                except ReplicaUnavailable as exc:
+                    tried.add(replica_id)
+                    last_error = exc
+                    self._note_failover()
         raise HTTPRequestError(
             f"no live replica could serve shape {_shape_label(shape)}"
             + (f" (last error: {last_error})" if last_error else ""),
@@ -324,8 +327,8 @@ class ClusterGateway:
 
         Returns ``{(H, W, C)-or-(H, W): [global indices]}``; the grouping
         key is the array shape exactly as the replica's engine will see it,
-        which is also the single-host micro-batcher's grouping rule — the
-        fleet inherits the same affinity boundary.
+        which is also the single-host micro-batcher's grouping rule, so one
+        group is one batch on whichever replica serves it.
         """
         groups: dict = {}
         for index, image in enumerate(images):
@@ -404,23 +407,27 @@ class ClusterGateway:
         }
 
     def _handle_stats(self) -> dict:
-        """Fleet-wide stats rollup (the smoke's affinity proof reads this).
+        """Fleet-wide stats rollup (the smokes' spread checks read this).
 
-        ``fleet.totals.position_grid_builds`` sums the grid builds every
-        replica's engines ever performed; with shape-affine routing it
-        equals the number of distinct shapes served, fleet-wide — the
-        cluster-level generalisation of the single-host one-build contract.
+        ``gateway.outstanding`` is each registered replica's in-flight count
+        right now (0 for all of them whenever the gateway is idle);
+        ``gateway.routed`` counts the groups dispatched to each replica,
+        failover attempts included.  ``fleet.totals.position_grid_builds``
+        sums the grid builds every replica's engines performed: at most one
+        per distinct shape per replica.
         """
         with self._lock:
-            routing = dict(self._routing)
+            replicas = sorted(self._clients)
+            outstanding = {rid: self._outstanding[rid] for rid in replicas}
+            routed = {rid: self._routed[rid] for rid in replicas}
             failovers = self._failovers
         return {
             "uptime_seconds": time.perf_counter() - self._started_at,
             "gateway": {
                 "instance_id": self.instance_id,
                 "failovers": failovers,
-                "routing_table": routing,
-                "ring": self._ring.describe(),
+                "outstanding": outstanding,
+                "routed": routed,
                 "max_attempts": self._max_attempts,
             },
             "http": self.http_stats.snapshot(),
@@ -545,12 +552,14 @@ class ClusterGateway:
         """``POST /v1/segment-stream``: fan out by shape, re-interleave.
 
         One worker thread per shape group opens a streaming exchange with
-        the group's ring owner; frames are forwarded to the client the
+        the least-loaded live replica (concurrent groups spread across the
+        fleet); frames are forwarded to the client the
         moment any replica produces them (completion order across the whole
         fleet, frame index = position in the request).  Exactly-once under
         failover: a worker tracks which global indices it has already
         forwarded, and when a replica dies mid-stream only the
-        *undelivered* indices are resent to the next ring node — delivered
+        *undelivered* indices are resent to the least-loaded replica not yet
+        tried — delivered
         frames are never re-emitted, lost ones always retried, and images
         that exhaust ``max_attempts`` are framed as per-image errors
         (status 1) rather than silently dropped, so the frame count always
@@ -577,39 +586,31 @@ class ClusterGateway:
                 for _ in range(self._max_attempts):
                     if not remaining:
                         break
-                    replica_id = self._next_replica(shape, tried)
-                    if replica_id is None:
-                        break
-                    client = self._client_for(replica_id)
-                    if client is None:
-                        tried.add(replica_id)
-                        continue
-                    batch = sorted(remaining)
-                    try:
-                        reader = client.open_stream(
-                            [images[i] for i in batch]
-                        )
+                    with self._dispatch(tried) as picked:
+                        if picked is None:
+                            break
+                        replica_id, client = picked
+                        batch = sorted(remaining)
                         try:
-                            for local_index, labels in reader.frames():
-                                global_index = batch[local_index]
-                                results.put(
-                                    (global_index, 0, npy_bytes(labels))
-                                )
-                                remaining.discard(global_index)
-                        finally:
-                            reader.close()
-                        if not remaining:
-                            self._note_routing(shape, replica_id)
-                    except ReplicaUnavailable as exc:
-                        tried.add(replica_id)
-                        last_error = exc
-                        self._note_failover()
-                    except ReplicaHTTPError as exc:
-                        # The replica rejected the payload itself; every
-                        # other replica would too, so fail the remainder
-                        # immediately.
-                        last_error = exc
-                        break
+                            with client.open_stream(
+                                [images[i] for i in batch]
+                            ) as reader:
+                                for local_index, labels in reader.frames():
+                                    global_index = batch[local_index]
+                                    results.put(
+                                        (global_index, 0, npy_bytes(labels))
+                                    )
+                                    remaining.discard(global_index)
+                        except ReplicaUnavailable as exc:
+                            tried.add(replica_id)
+                            last_error = exc
+                            self._note_failover()
+                        except ReplicaHTTPError as exc:
+                            # The replica rejected the payload itself; every
+                            # other replica would too, so fail the remainder
+                            # immediately.
+                            last_error = exc
+                            break
             except Exception as exc:  # noqa: BLE001 - must not hang chunks()
                 last_error = exc
             for global_index in sorted(remaining):

@@ -7,12 +7,11 @@ rollup cache), then applies **hysteresis** before changing state: a replica
 is only marked dead after ``fail_threshold`` *consecutive* failed probes,
 and only marked alive again after ``recover_threshold`` consecutive
 successes.  That asymmetric debounce keeps one dropped packet from ejecting
-a warm replica (losing its grid-cache affinity) while still converging fast
-on a genuinely dead process.
+a healthy replica while still converging fast on a genuinely dead process.
 
-State changes drive ring membership through the ``on_dead`` / ``on_alive``
-callbacks (the gateway passes ``ring.remove`` / ``ring.add``), so routing
-and health can never disagree for longer than one probe interval.
+The alive set (:meth:`HealthProber.alive_replicas`) is the fleet's only
+membership source: the gateway's router picks from it on every dispatch, so
+routing and health can never disagree for longer than one probe interval.
 
 The prober also watches the ``instance_id`` each replica mints at startup
 (PR 8's ``/healthz`` identity triple): if the id changes between probes the
@@ -25,8 +24,6 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable
-
 from repro.serving.cluster.client import ReplicaClient
 
 __all__ = ["HealthProber", "ReplicaHealth"]
@@ -63,13 +60,10 @@ class ReplicaHealth:
 
 
 class HealthProber:
-    """Polls replica ``/healthz``; drives ring membership with hysteresis.
+    """Polls replica ``/healthz``; keeps the alive set with hysteresis.
 
     Parameters
     ----------
-    on_dead / on_alive:
-        Callbacks fired with the replica id on a confirmed state change
-        (after hysteresis).  The gateway wires these to ring membership.
     interval:
         Seconds between probe rounds.
     fail_threshold:
@@ -83,16 +77,12 @@ class HealthProber:
     def __init__(
         self,
         *,
-        on_dead: "Callable[[str], object]",
-        on_alive: "Callable[[str], object]",
         interval: float = 0.5,
         fail_threshold: int = 2,
         recover_threshold: int = 1,
     ) -> None:
         if fail_threshold < 1 or recover_threshold < 1:
             raise ValueError("hysteresis thresholds must be positive")
-        self._on_dead = on_dead
-        self._on_alive = on_alive
         self.interval = float(interval)
         self.fail_threshold = int(fail_threshold)
         self.recover_threshold = int(recover_threshold)
@@ -108,7 +98,9 @@ class HealthProber:
         """Track a replica (starts dead; probes promote it to alive).
 
         Re-registering an id replaces the tracked client — the supervisor
-        does this when it restarts a replica on a new ephemeral port.
+        does this when it restarts a replica on a new ephemeral port — and
+        the new incarnation stays out of the alive set until it proves
+        itself.
         """
         health = ReplicaHealth(client)
         with self._lock:
@@ -116,24 +108,18 @@ class HealthProber:
             if previous is not None:
                 health.restarts_detected = previous.restarts_detected
             self._replicas[client.replica_id] = health
-        if previous is not None and previous.alive:
-            # The old incarnation was routable; pull it from the ring until
-            # the new one proves itself.
-            self._on_dead(client.replica_id)
         return health
 
     def unregister(self, replica_id: str) -> None:
-        """Stop tracking a replica and remove it from routing."""
+        """Stop tracking a replica, which also removes it from routing."""
         with self._lock:
-            health = self._replicas.pop(replica_id, None)
-        if health is not None and health.alive:
-            self._on_dead(replica_id)
+            self._replicas.pop(replica_id, None)
 
     # ------------------------------------------------------------------ #
     # probing
     # ------------------------------------------------------------------ #
     def _probe_one(self, health: ReplicaHealth) -> None:
-        """One probe round for one replica; fires callbacks on transitions."""
+        """One probe round for one replica; applies the hysteresis."""
         client = health.client
         try:
             body = client.get_json("/healthz")
@@ -144,14 +130,8 @@ class HealthProber:
                 health.last_error = f"{type(exc).__name__}: {exc}"
                 health.consecutive_successes = 0
                 health.consecutive_failures += 1
-                transition = (
-                    health.alive
-                    and health.consecutive_failures >= self.fail_threshold
-                )
-                if transition:
+                if health.consecutive_failures >= self.fail_threshold:
                     health.alive = False
-            if transition:
-                self._on_dead(client.replica_id)
             return
 
         instance_id = body.get("instance_id")
@@ -164,8 +144,8 @@ class HealthProber:
                 and instance_id != health.instance_id
             )
             if restarted:
-                # Same address, new process: its grid cache is cold and any
-                # cached stats describe a dead incarnation.
+                # Same address, new process: any cached stats describe a
+                # dead incarnation.
                 health.restarts_detected += 1
                 health.stats = None
             health.instance_id = instance_id
@@ -173,14 +153,8 @@ class HealthProber:
             health.stats = stats
             health.consecutive_failures = 0
             health.consecutive_successes += 1
-            transition = (
-                not health.alive
-                and health.consecutive_successes >= self.recover_threshold
-            )
-            if transition:
+            if health.consecutive_successes >= self.recover_threshold:
                 health.alive = True
-        if transition:
-            self._on_alive(client.replica_id)
 
     def probe_all(self) -> None:
         """One synchronous probe round over every registered replica."""

@@ -11,11 +11,11 @@ re-registers it.
 The pattern follows the gridworks-scada fleet shape named in ROADMAP:
 independently supervised processes behind one coordinator, each speaking the
 same small HTTP protocol, with the supervisor owning only lifecycle — never
-routing (the gateway's ring does that) or health verdicts (the prober's
-hysteresis does that).  A restarted replica keeps its replica *id*, so the
-consistent-hash ring hands it back exactly the shapes its predecessor owned
-and the fleet re-warms one grid cache instead of reshuffling every arc; the
-prober notices the fresh ``instance_id`` and counts the restart.
+routing (the gateway's least-loaded router does that) or health verdicts
+(the prober's hysteresis does that).  A restarted replica keeps its replica
+*id*, so its ``/stats`` history stays one row in the fleet rollup; the prober
+notices the fresh ``instance_id`` and counts the restart, and the router
+sends it work as soon as hysteresis marks it alive.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ class ReplicaSupervisor:
             used = self._restarts.get(replica_id, 0)
             if used >= self._max_restarts:
                 # Budget exhausted: drop it from the tracked set so the
-                # monitor stops retrying; the prober keeps it off the ring.
+                # monitor stops retrying; the prober keeps it out of routing.
                 self._processes.pop(replica_id, None)
                 return
             self._restarts[replica_id] = used + 1
@@ -258,7 +258,7 @@ class ReplicaSupervisor:
         The cluster actuation seam for the autoscaler.  Growing spawns and
         registers new ``replica-<k>`` ids (fresh restart budgets); shrinking
         retires the highest-numbered replicas — each is unregistered from
-        the gateway *first* so the ring stops routing to it, then
+        the gateway *first* so the router stops picking it, then
         SIGTERMed for a graceful drain.  A retired id is forgotten by the
         monitor before termination, so scale-down is never mistaken for a
         crash and restarted.  Returns an outcome dict with the ids spawned

@@ -213,6 +213,13 @@ def record_transport_locked(
     entry["bytes_out"] += int(bytes_out)
 
 
+def _lookups(snapshot: "dict | None") -> int:
+    """Cumulative cache lookups of one engine snapshot (0 for none)."""
+    if not snapshot:
+        return 0
+    return int(snapshot.get("hits", 0)) + int(snapshot.get("misses", 0))
+
+
 def _aggregate_cache(snapshots: dict) -> dict:
     totals = {
         "hits": 0,
@@ -294,7 +301,13 @@ class StatsCollector:
         with self._lock:
             self._completed += 1
             self._latencies.add(float(latency_seconds))
-            if cache is not None:
+            if cache is not None and _lookups(cache) >= _lookups(
+                self._cache_snapshots.get(source)
+            ):
+                # Results of one worker can be recorded out of order (two
+                # dispatch threads may wake on one process's futures in
+                # either order); its counters only grow, so a snapshot with
+                # fewer lookups than the stored one is stale.
                 self._cache_snapshots[source] = dict(cache)
             self._lock.notify_all()
 

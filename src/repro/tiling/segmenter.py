@@ -6,8 +6,9 @@ of a :class:`repro.tiling.grid.TileGrid`, runs the base over the tiles,
 and stitches the per-tile label maps into one seam-consistent global
 result (:mod:`repro.tiling.stitch`).  Because every tile of an image has
 the *same* shape, the whole image costs the base exactly one encoder-grid
-build — and behind the cluster gateway's shape-affinity ring, all of an
-image's tiles hash to the same warm replica.
+build per engine — and behind the cluster gateway, whose router sends each
+batch to the least-loaded replica, concurrent tile batches run on every
+replica at once (each builds the tile grid once).
 
 How the tiles actually run is pluggable: by default they go through the
 base segmenter's own ``segment_batch``, but a ``tile_runner`` callable can

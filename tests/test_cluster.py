@@ -6,16 +6,22 @@ gateway is driven both socket-free through ``handle_request`` — the same
 dispatch contract the HTTP handler wraps — and over its replica clients'
 real sockets.  Covers: the connection pool's keep-alive + failure
 semantics, prober hysteresis and silent-restart detection (with stub
-clients, so timing is exact), shape-affine routing with bit-exact parity
-against a direct engine, the fleet stats rollup, and bounded failover on
-both the batch and streaming endpoints.  The SIGKILL-mid-stream case rides
-in ``tools/cluster_smoke.py`` where replicas are real subprocesses.
+clients, so timing is exact), least-outstanding-requests routing with
+bit-exact parity against a direct engine, the in-flight counts on every exit
+path, the fleet stats rollup, and bounded failover on both the batch and
+streaming endpoints.  The real SIGKILL-mid-stream case rides in
+``tools/cluster_smoke.py`` where replicas are real subprocesses.
 """
 
 from __future__ import annotations
 
+import contextlib
+import http.server
+import json
 import os
 import re
+import sys
+import threading
 import time
 
 import numpy as np
@@ -32,6 +38,7 @@ from repro.serving.cluster import (
 )
 from repro.serving.cluster.supervisor import PORT_LINE
 from repro.serving.http import (
+    HTTPRequestError,
     RawResponse,
     StreamingResponse,
     npy_bytes,
@@ -130,6 +137,19 @@ class TestReplicaClient:
         for index, expected in enumerate(reference):
             assert np.array_equal(frames[index], expected.labels)
 
+    def test_connection_recycled_by_a_stream_serves_the_next_request(self):
+        images = [_image(seed=s) for s in range(2)]
+        reference = SegHDCEngine(_config()).segment_batch(images)
+        with _replica_server() as server:
+            with ReplicaClient("r0", server.host, server.port) as client:
+                with client.open_stream(images) as reader:
+                    assert len(list(reader.frames())) == len(images)
+                labels = client.segment_raw(images)
+                assert client.connections_created == 1
+                assert client.snapshot()["transport_failures"] == 0
+        for index, expected in enumerate(reference):
+            assert np.array_equal(labels[index], expected.labels)
+
 
 class _StubClient:
     """Duck-typed replica client with scripted probe responses.
@@ -161,18 +181,9 @@ class _StubClient:
 
 
 class TestHealthProber:
-    def _prober(self, **kwargs):
-        events = []
-        prober = HealthProber(
-            on_dead=lambda rid: events.append(("dead", rid)),
-            on_alive=lambda rid: events.append(("alive", rid)),
-            **kwargs,
-        )
-        return prober, events
-
     def test_hysteresis_requires_consecutive_failures(self):
         healthy = ({"status": "ok", "instance_id": "a", "pid": 1}, {"x": 1})
-        prober, events = self._prober(fail_threshold=2, recover_threshold=1)
+        prober = HealthProber(fail_threshold=2, recover_threshold=1)
         prober.register(
             _StubClient(
                 "r0",
@@ -186,19 +197,16 @@ class TestHealthProber:
                 ],
             )
         )
-        for _ in range(4):
+        alive_after_round = []
+        for _ in range(6):
             prober.probe_all()
-        # One isolated failure (with threshold 2) never ejects the replica.
-        assert events == [("alive", "r0")]
-        assert prober.alive_replicas() == ["r0"]
-        prober.probe_all()
-        assert events[-1] == ("dead", "r0")
-        assert prober.alive_replicas() == []
-        prober.probe_all()
-        assert events[-1] == ("alive", "r0")
+            alive_after_round.append(prober.alive_replicas())
+        # One isolated failure (with threshold 2) never ejects the replica;
+        # two in a row do, and one success brings it back.
+        assert alive_after_round == [["r0"]] * 4 + [[], ["r0"]]
 
     def test_instance_id_change_counts_as_restart(self):
-        prober, _ = self._prober(fail_threshold=1, recover_threshold=1)
+        prober = HealthProber(fail_threshold=1, recover_threshold=1)
         health = prober.register(
             _StubClient(
                 "r0",
@@ -220,21 +228,137 @@ class TestHealthProber:
 
     def test_thresholds_must_be_positive(self):
         with pytest.raises(ValueError):
-            HealthProber(
-                on_dead=lambda _: None, on_alive=lambda _: None,
-                fail_threshold=0,
-            )
+            HealthProber(fail_threshold=0)
+
+
+def _outstanding(gateway) -> dict:
+    """The gateway's per-replica in-flight counts, read through ``/stats``."""
+    status, stats = gateway.handle_request("GET", "/stats", b"")
+    assert status == 200
+    return stats["gateway"]["outstanding"]
+
+
+class _ProbeOnlyHandler(http.server.BaseHTTPRequestHandler):
+    """Answers every GET with ``{"status": "ok"}`` (HTTP/1.0, no keep-alive)."""
+
+    def do_GET(self) -> None:
+        body = json.dumps({"status": "ok"}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+def _add_dead_replica(gateway, replica_id="replica-dead"):
+    """Put a replica whose port refuses connections into the live set.
+
+    Models the window between a replica crashing and the prober noticing:
+    the replica passes its readiness probe, then its port closes; the
+    fixture's gateway runs no background probe loop, so it stays live and
+    the router picks it like any idle replica — the request itself must
+    discover the death and fail over.
+    """
+    server = http.server.HTTPServer(("127.0.0.1", 0), _ProbeOnlyHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        gateway.register_replica(replica_id, *server.server_address)
+        gateway.wait_ready(timeout=30.0)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10.0)
+    assert replica_id in gateway.prober.alive_replicas()
+
+
+#: One group per live replica once :func:`_add_dead_replica` ran: the
+#: round-robin tie-break gives each of the three idle replicas one group,
+#: so the dead one is always picked for one of them.
+_THREE_SHAPES = [(20, 24), (28, 20), (24, 24)]
+
+
+class _DiesAfterFirstFrame:
+    """A stream reader whose replica dies right after its first frame."""
+
+    def __init__(self, reader) -> None:
+        self._reader = reader
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._reader.close()
+
+    def frames(self):
+        for frame in self._reader.frames():
+            yield frame
+            raise ReplicaUnavailable("replica died mid-stream")
+
+
+def _inject(monkeypatch, fault: str) -> None:
+    """Make the gateway's replica calls fail the way ``fault`` names.
+
+    ``http-4xx`` rejects every call; ``killed-mid-stream`` kills only the
+    first call: a batch answer is lost after the replica did the work, a
+    stream dies after one frame, and the failover replica serves the rest.
+    """
+    segment_raw = ReplicaClient.segment_raw
+    open_stream = ReplicaClient.open_stream
+    killed = []
+
+    def reject(self, images):
+        raise ReplicaHTTPError(400, "replica rejected the payload")
+
+    def lose_answer(self, images):
+        labels = segment_raw(self, images)
+        if killed:
+            return labels
+        killed.append(self.replica_id)
+        raise ReplicaUnavailable("replica died before answering")
+
+    def die_mid_stream(self, images):
+        reader = open_stream(self, images)
+        if killed:
+            return reader
+        killed.append(self.replica_id)
+        return _DiesAfterFirstFrame(reader)
+
+    if fault == "http-4xx":
+        monkeypatch.setattr(ReplicaClient, "segment_raw", reject)
+        monkeypatch.setattr(ReplicaClient, "open_stream", reject)
+    elif fault == "killed-mid-stream":
+        monkeypatch.setattr(ReplicaClient, "segment_raw", lose_answer)
+        monkeypatch.setattr(ReplicaClient, "open_stream", die_mid_stream)
+
+
+def _post(gateway, endpoint: str, images: list) -> tuple:
+    """POST framed images; returns ``(status, framed response bytes)``.
+
+    Stream frames are read to the end, which joins the gateway's workers.
+    """
+    status, payload = gateway.handle_request(
+        "POST", endpoint, pack_frames(enumerate(images)), content_type=_OCTET
+    )
+    if isinstance(payload, StreamingResponse):
+        return status, b"".join(payload.chunks)
+    if isinstance(payload, RawResponse):
+        return status, payload.body
+    return status, payload
 
 
 class TestGatewayRouting:
-    def test_raw_batch_is_bit_exact_and_shape_affine(self, fleet):
+    def test_raw_batch_is_bit_exact_and_spread_over_replicas(self, fleet):
         gateway, servers = fleet
         shapes = [(20, 24), (28, 20)]
         images = [
             _image(shape=shapes[i % 2], seed=i) for i in range(6)
         ]
         reference = SegHDCEngine(_config()).segment_batch(images)
-        for _ in range(2):  # repeated requests must not re-route
+        for _ in range(2):
             status, payload = gateway.handle_request(
                 "POST",
                 "/v1/segment",
@@ -246,22 +370,20 @@ class TestGatewayRouting:
             entries = dict(unpack_frames(payload.body))
             for index, expected in enumerate(reference):
                 assert np.array_equal(entries[index], expected.labels)
-        # Affinity: two shapes, each pinned to exactly one replica, and the
-        # fleet built each shape's grid exactly once in total.
+        # Spread: the idle fleet takes the groups in turn, so both replicas
+        # served and each built at most one grid per shape.
         gateway.prober.probe_all()
         status, stats = gateway.handle_request("GET", "/stats", b"")
         assert status == 200
-        routing = stats["gateway"]["routing_table"]
-        assert sorted(routing) == ["20x24", "28x20"]
-        for shape_label, replica_id in routing.items():
-            assert replica_id == gateway.ring.node_for(
-                tuple(int(p) for p in shape_label.split("x"))
-            )
-        builds = sum(
-            (entry or {}).get("position_grid_builds", 0)
-            for entry in stats["fleet"]["per_replica"].values()
-        )
-        assert builds == len(shapes), stats["fleet"]
+        per_replica = stats["fleet"]["per_replica"]
+        assert sorted(per_replica) == ["replica-0", "replica-1"]
+        for entry in per_replica.values():
+            assert entry["completed"] > 0, per_replica
+            assert 1 <= entry["position_grid_builds"] <= len(shapes)
+        assert stats["gateway"]["routed"] == {"replica-0": 2, "replica-1": 2}
+        assert stats["gateway"]["outstanding"] == {
+            "replica-0": 0, "replica-1": 0,
+        }
         assert stats["gateway"]["failovers"] == 0
 
     def test_json_request_reports_the_serving_replica(self, fleet):
@@ -281,8 +403,7 @@ class TestGatewayRouting:
         )
         assert status == 200
         entry = payload["results"][0]
-        expected_owner = gateway.ring.node_for(tuple(image.shape))
-        assert entry["replica"] == expected_owner
+        assert entry["replica"] in gateway.prober.alive_replicas()
         assert entry["num_clusters"] >= 1
         reference = SegHDCEngine(_config()).segment(image)
         import base64
@@ -314,63 +435,155 @@ class TestGatewayRouting:
         for index, labels in entries:
             assert np.array_equal(labels, reference[index].labels)
 
-    @staticmethod
-    def _add_dead_replica(gateway, replica_id="replica-dead"):
-        """Register a replica on a dead port and force it into routing.
-
-        Models the window between a replica crashing and the prober
-        noticing: the ring still owns arcs for it, but every connection is
-        refused — the request itself must discover the death and fail over.
-        Returns a shape the dead replica owns.
-        """
-        import socket
-
-        with socket.socket() as probe_socket:
-            probe_socket.bind(("127.0.0.1", 0))
-            dead_port = probe_socket.getsockname()[1]
-        gateway.register_replica(replica_id, "127.0.0.1", dead_port)
-        gateway.ring.add(replica_id)
-        for size in range(24, 512, 4):
-            if gateway.ring.node_for((size, size)) == replica_id:
-                return (size, size)
-        raise AssertionError("no shape hashed to the dead replica")
-
-    def test_batch_fails_over_to_the_next_ring_node(self, fleet):
-        gateway, servers = fleet
-        shape = self._add_dead_replica(gateway)
-        image = _image(shape=shape)
-        status, payload = gateway.handle_request(
-            "POST",
-            "/v1/segment",
-            npy_bytes(image),
-            content_type=_OCTET,
-        )
+    def test_batch_fails_over_to_the_least_loaded_untried_replica(self, fleet):
+        gateway, _ = fleet
+        _add_dead_replica(gateway)
+        images = [_image(shape=shape) for shape in _THREE_SHAPES]
+        status, raw = _post(gateway, "/v1/segment", images)
         assert status == 200
-        reference = SegHDCEngine(_config()).segment(image)
-        from repro.serving.http import array_from_npy_bytes
-
-        assert np.array_equal(
-            array_from_npy_bytes(payload.body), reference.labels
-        )
+        entries = dict(unpack_frames(raw))
+        reference = SegHDCEngine(_config()).segment_batch(images)
+        for index, expected in enumerate(reference):
+            assert np.array_equal(entries[index], expected.labels)
         _, stats = gateway.handle_request("GET", "/stats", b"")
         assert stats["gateway"]["failovers"] >= 1
 
-    def test_stream_fails_over_to_the_next_ring_node(self, fleet):
-        gateway, servers = fleet
-        shape = self._add_dead_replica(gateway)
-        images = [_image(shape=shape, seed=s) for s in range(3)]
+    def test_stream_fails_over_to_the_least_loaded_untried_replica(self, fleet):
+        gateway, _ = fleet
+        _add_dead_replica(gateway)
+        images = [
+            _image(shape=_THREE_SHAPES[s % 3], seed=s) for s in range(6)
+        ]
         reference = SegHDCEngine(_config()).segment_batch(images)
-        status, payload = gateway.handle_request(
-            "POST",
-            "/v1/segment-stream",
-            pack_frames(enumerate(images)),
-            content_type=_OCTET,
-        )
+        status, raw = _post(gateway, "/v1/segment-stream", images)
         assert status == 200
-        entries = unpack_frames(b"".join(payload.chunks))
-        assert sorted(index for index, _ in entries) == [0, 1, 2]
-        for index, labels in entries:
+        entries = dict(unpack_frames(raw))
+        assert sorted(entries) == list(range(len(images)))
+        for index, labels in entries.items():
             assert np.array_equal(labels, reference[index].labels)
+        _, stats = gateway.handle_request("GET", "/stats", b"")
+        assert stats["gateway"]["failovers"] >= 1
+
+    @pytest.mark.parametrize("endpoint", ["/v1/segment", "/v1/segment-stream"])
+    @pytest.mark.parametrize(
+        "exit_path", ["success", "dead-port", "http-4xx", "killed-mid-stream"]
+    )
+    def test_in_flight_counts_return_to_zero(
+        self, fleet, monkeypatch, endpoint, exit_path
+    ):
+        """Every way out of a replica call gives its in-flight slot back.
+
+        A leaked slot would make the router treat that replica as busy
+        forever; the counts must read 0 once the request is over, whether
+        the call succeeded, hit a dead port, was rejected, or died midway.
+        """
+        gateway, _ = fleet
+        if exit_path == "dead-port":
+            _add_dead_replica(gateway)
+        _inject(monkeypatch, exit_path)
+        images = [
+            _image(shape=_THREE_SHAPES[s % 3], seed=s) for s in range(6)
+        ]
+        status, raw = _post(gateway, endpoint, images)
+        if exit_path == "http-4xx":
+            # The batch endpoint forwards the replica's verdict; the stream
+            # frames it as a per-image error.
+            if endpoint == "/v1/segment":
+                assert status == 400
+            else:
+                with pytest.raises(HTTPRequestError, match="answered 400"):
+                    unpack_frames(raw)
+        else:
+            assert status == 200
+            entries = dict(unpack_frames(raw))
+            assert sorted(entries) == list(range(len(images)))
+        if exit_path in ("dead-port", "killed-mid-stream"):
+            reference = SegHDCEngine(_config()).segment_batch(images)
+            for index, labels in entries.items():
+                assert np.array_equal(labels, reference[index].labels)
+            _, stats = gateway.handle_request("GET", "/stats", b"")
+            assert stats["gateway"]["failovers"] >= 1
+        outstanding = _outstanding(gateway)
+        assert outstanding and set(outstanding.values()) == {0}, outstanding
+
+    @pytest.mark.parametrize("endpoint", ["/v1/segment", "/v1/segment-stream"])
+    def test_concurrent_same_shape_requests_land_on_different_replicas(
+        self, fleet, monkeypatch, endpoint
+    ):
+        gateway, _ = fleet
+        release = threading.Event()
+        arrivals: list = []
+        segment_raw = ReplicaClient.segment_raw
+        open_stream = ReplicaClient.open_stream
+
+        def held(original):
+            def call(self, images):
+                arrivals.append(self.replica_id)
+                assert release.wait(timeout=30.0)
+                return original(self, images)
+            return call
+
+        monkeypatch.setattr(ReplicaClient, "segment_raw", held(segment_raw))
+        monkeypatch.setattr(ReplicaClient, "open_stream", held(open_stream))
+        image = _image()
+        answers: list = []
+        senders = [
+            threading.Thread(
+                target=lambda: answers.append(
+                    _post(gateway, endpoint, [image])
+                )
+            )
+            for _ in range(2)
+        ]
+        for sender in senders:
+            sender.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(arrivals) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            # Both replicas are busy with one request each.
+            assert sorted(arrivals) == ["replica-0", "replica-1"]
+            assert _outstanding(gateway) == {"replica-0": 1, "replica-1": 1}
+        finally:
+            release.set()
+            for sender in senders:
+                sender.join(timeout=30.0)
+        reference = SegHDCEngine(_config()).segment(image).labels
+        assert [status for status, _ in answers] == [200, 200]
+        for _, raw in answers:
+            assert np.array_equal(dict(unpack_frames(raw))[0], reference)
+        assert _outstanding(gateway) == {"replica-0": 0, "replica-1": 0}
+
+    def test_in_flight_counts_survive_concurrent_senders(self, fleet):
+        """More senders than cores, fast thread switches: no lost update."""
+        gateway, _ = fleet
+        senders, rounds = 8, 3
+        image = _image()
+        statuses: list = []
+
+        def send() -> None:
+            for _ in range(rounds):
+                statuses.append(_post(gateway, "/v1/segment", [image])[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=send) for _ in range(senders)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert statuses == [200] * (senders * rounds)
+        _, stats = gateway.handle_request("GET", "/stats", b"")
+        assert stats["gateway"]["outstanding"] == {
+            "replica-0": 0, "replica-1": 0,
+        }
+        routed = stats["gateway"]["routed"]
+        assert sum(routed.values()) == senders * rounds
+        assert min(routed.values()) > 0, routed
 
     def test_no_replicas_is_a_503(self):
         with ClusterGateway(port=0) as gateway:
@@ -401,6 +614,125 @@ class TestGatewayRouting:
         assert body["replicas_alive"] == ["replica-0", "replica-1"]
 
 
+@pytest.fixture()
+def idle_gateway(monkeypatch):
+    """A socket-free gateway whose live set the test sets by hand.
+
+    Replicas are registered on a port nothing listens on — the router's
+    pick never opens a connection — and ``alive_replicas`` reads the
+    list the test fills, so every pick is exact and instantaneous.
+    """
+    gateway = ClusterGateway(port=0)
+    alive: list = []
+    monkeypatch.setattr(gateway.prober, "alive_replicas", lambda: sorted(alive))
+    try:
+        yield gateway, alive
+    finally:
+        gateway.close()
+
+
+def _add_idle_replicas(gateway, alive: list, count: int) -> list:
+    ids = [f"r{index}" for index in range(count)]
+    for replica_id in ids:
+        gateway.register_replica(replica_id, "127.0.0.1", 1)
+    alive.extend(ids)
+    return ids
+
+
+class TestLeastLoadedPick:
+    """The router's pick, driven directly through ``_dispatch``."""
+
+    @pytest.mark.parametrize("replicas", [2, 3, 4])
+    def test_concurrent_picks_fill_every_replica_before_doubling_up(
+        self, idle_gateway, replicas
+    ):
+        gateway, alive = idle_gateway
+        ids = _add_idle_replicas(gateway, alive, replicas)
+        with contextlib.ExitStack() as stack:
+            picked = [
+                stack.enter_context(gateway._dispatch(set()))[0]
+                for _ in range(replicas + 1)
+            ]
+            assert sorted(picked[:replicas]) == ids
+            assert sorted(_outstanding(gateway).values()) == (
+                [1] * (replicas - 1) + [2]
+            )
+        assert set(_outstanding(gateway).values()) == {0}
+
+    @pytest.mark.parametrize("replicas", [1, 2, 3])
+    def test_sequential_picks_rotate_round_robin(self, idle_gateway, replicas):
+        gateway, alive = idle_gateway
+        ids = _add_idle_replicas(gateway, alive, replicas)
+        picked = []
+        for _ in range(2 * replicas):
+            with gateway._dispatch(set()) as (replica_id, _client):
+                picked.append(replica_id)
+        # Every count ties at 0 between picks, so the cursor alone decides:
+        # each window of ``replicas`` picks visits every replica once.
+        assert sorted(picked[:replicas]) == ids
+        assert picked[replicas:] == picked[:replicas]
+        _, stats = gateway.handle_request("GET", "/stats", b"")
+        assert stats["gateway"]["routed"] == {replica_id: 2 for replica_id in ids}
+
+    def test_load_outranks_the_round_robin_turn(self, idle_gateway):
+        gateway, alive = idle_gateway
+        _add_idle_replicas(gateway, alive, 3)
+        with gateway._dispatch(set()) as first, gateway._dispatch(
+            set()
+        ) as second:
+            busy = {first[0], second[0]}
+            for _ in range(3):
+                # Whatever the cursor says, the one idle replica wins.
+                with gateway._dispatch(set()) as picked:
+                    assert picked[0] not in busy
+
+    def test_tried_replicas_are_skipped_until_none_is_left(self, idle_gateway):
+        gateway, alive = idle_gateway
+        ids = _add_idle_replicas(gateway, alive, 3)
+        tried: set = set()
+        for _ in ids:
+            with gateway._dispatch(tried) as (replica_id, _client):
+                assert replica_id not in tried
+                tried.add(replica_id)
+        assert tried == set(ids)
+        with gateway._dispatch(tried) as picked:
+            assert picked is None
+        assert set(_outstanding(gateway).values()) == {0}
+
+    def test_only_live_registered_replicas_are_picked(self, idle_gateway):
+        gateway, alive = idle_gateway
+        _add_idle_replicas(gateway, alive, 3)
+        alive.remove("r1")          # registered, but probes say dead
+        alive.append("r-gone")      # probed alive, but no client any more
+        picked = set()
+        for _ in range(6):
+            with gateway._dispatch(set()) as (replica_id, _client):
+                picked.add(replica_id)
+        assert picked == {"r0", "r2"}
+        gateway.unregister_replica("r2")
+        alive.remove("r2")
+        with gateway._dispatch({"r0"}) as picked_after:
+            assert picked_after is None
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ReplicaUnavailable("connection refused"),
+            ReplicaHTTPError(400, "bad payload"),
+            RuntimeError("stream died mid-way"),
+        ],
+        ids=["unavailable", "http-error", "other"],
+    )
+    def test_slot_is_released_when_the_call_raises(self, idle_gateway, error):
+        gateway, alive = idle_gateway
+        _add_idle_replicas(gateway, alive, 2)
+        with pytest.raises(type(error)):
+            with gateway._dispatch(set()) as (replica_id, _client):
+                assert _outstanding(gateway)[replica_id] == 1
+                raise error
+        assert _outstanding(gateway) == {"r0": 0, "r1": 0}
+
+
 class TestSupervisorContract:
     def test_port_line_regex_matches_the_serve_output(self):
         assert PORT_LINE.match("SEGHDC_SERVE_PORT=18345").group(1) == "18345"
@@ -413,7 +745,7 @@ class TestSupervisorContract:
 
         Growing spawns and registers new lowest-free-id replicas; shrinking
         retires the highest-numbered ones — unregistered from the gateway
-        *before* the SIGTERM (the ring must stop routing first) and removed
+        *before* the SIGTERM (the router must stop picking it first) and removed
         from monitor tracking so the restart loop cannot resurrect them.
         """
         from repro.serving.cluster import ClusterGateway, ReplicaSupervisor

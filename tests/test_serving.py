@@ -942,3 +942,19 @@ class TestLatencyReservoir:
         stats = collector.snapshot(mode="thread", num_workers=1, queue_depth=0)
         assert stats.latency["count"] == 500
         assert stats.latency["p99"] == pytest.approx(0.002)
+
+    def test_stale_cache_snapshot_does_not_overwrite_a_newer_one(self):
+        """Two dispatch threads may record one worker's results out of
+        order; the aggregated cache must keep that worker's latest counters."""
+        from repro.serving.stats import StatsCollector
+
+        collector = StatsCollector()
+        newer = {"hits": 2, "misses": 1, "shared_hits": 2}
+        older = {"hits": 1, "misses": 1, "shared_hits": 1}
+        collector.record_completed(0.001, cache=newer, source=101)
+        collector.record_completed(0.001, cache=older, source=101)
+        collector.record_completed(0.001, cache=older, source=102)
+        stats = collector.snapshot(mode="process", num_workers=2, queue_depth=0)
+        assert stats.cache["shared_hits"] == 3
+        assert stats.cache["hits"] == 3
+        assert stats.cache["engines"] == 2
