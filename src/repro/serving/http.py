@@ -170,6 +170,13 @@ FRAME_MAGIC = b"SHDC"
 _CONTAINER_HEADER = struct.Struct("<4sHHI")
 _FRAME_HEADER = struct.Struct("<IIQ")
 _NPY_MAGIC = b"\x93NUMPY"
+#: Serialises ``.npy`` header parses.  CPython 3.11's AST-to-object
+#: conversion (``ast.literal_eval``) keeps its recursion counter in
+#: interpreter-wide state; when a garbage-collector finalizer switches
+#: threads mid-parse, two parses interleave on that counter and one fails
+#: with ``SystemError: AST constructor recursion depth mismatch`` — a
+#: spurious 400 for a valid body.  A parse takes microseconds.
+_NPY_HEADER_LOCK = threading.Lock()
 
 
 class HTTPRequestError(ValueError):
@@ -261,9 +268,9 @@ def array_from_npy_bytes(data: "bytes | bytearray | memoryview") -> np.ndarray:
             offset = 12 + header_len
         else:
             raise ValueError(f"unsupported .npy major version {major}")
-        header = ast.literal_eval(
-            bytes(view[offset - header_len : offset]).decode("latin1")
-        )
+        text = bytes(view[offset - header_len : offset]).decode("latin1")
+        with _NPY_HEADER_LOCK:
+            header = ast.literal_eval(text)
         dtype = np.dtype(header["descr"])
         if dtype.hasobject:
             raise ValueError("object dtypes are not allowed")
@@ -638,10 +645,23 @@ class _Handler(BaseHTTPRequestHandler):
     All routing and payload logic lives in
     :meth:`SegmentationHTTPServer.handle_request` so it can be unit-tested
     without sockets; this class only does the HTTP plumbing.
+
+    Every accepted socket has ``TCP_NODELAY`` set (``disable_nagle_algorithm``)
+    and ``wfile`` stays unbuffered.  A response goes out as two writes —
+    ``end_headers()`` then the body — and with Nagle on the kernel holds
+    the small body until the client ACKs the headers; a keep-alive client
+    with nothing to send delays that ACK by ~40 ms, so every round trip
+    paid ~44 ms on loopback instead of ~2 ms.  Buffering ``wfile`` would
+    also merge the writes, but then ``handle_expect_100``'s interim
+    ``100 Continue`` sits in the buffer and a client sending
+    ``Expect: 100-continue`` (curl on large uploads) stalls, and a
+    ``/v1/segment-stream`` response's headers would wait for its first
+    frame.
     """
 
     server_version = "seghdc-http/1.0"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     @property
     def app(self) -> "SegmentationHTTPServer":

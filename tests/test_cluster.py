@@ -8,8 +8,9 @@ real sockets.  Covers: the connection pool's keep-alive + failure
 semantics, prober hysteresis and silent-restart detection (with stub
 clients, so timing is exact), least-outstanding-requests routing with
 bit-exact parity against a direct engine, the in-flight counts on every exit
-path, the fleet stats rollup, and bounded failover on both the batch and
-streaming endpoints.  The real SIGKILL-mid-stream case rides in
+path, the fleet stats rollup, bounded failover on both the batch and
+streaming endpoints, and keep-alive round trips through a started
+gateway.  The real SIGKILL-mid-stream case rides in
 ``tools/cluster_smoke.py`` where replicas are real subprocesses.
 """
 
@@ -20,6 +21,7 @@ import http.server
 import json
 import os
 import re
+import statistics
 import sys
 import threading
 import time
@@ -563,7 +565,9 @@ class TestGatewayRouting:
 
         def send() -> None:
             for _ in range(rounds):
-                statuses.append(_post(gateway, "/v1/segment", [image])[0])
+                status, payload = _post(gateway, "/v1/segment", [image])
+                # A failure keeps its error body for the assertion message.
+                statuses.append(status if status == 200 else (status, payload))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -575,15 +579,15 @@ class TestGatewayRouting:
                 thread.join(timeout=60.0)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert statuses == [200] * (senders * rounds)
         _, stats = gateway.handle_request("GET", "/stats", b"")
-        assert stats["gateway"]["outstanding"] == {
-            "replica-0": 0, "replica-1": 0,
-        }
+        outstanding = stats["gateway"]["outstanding"]
         routed = stats["gateway"]["routed"]
-        assert sum(routed.values()) == senders * rounds
-        assert min(routed.values()) > 0, routed
+        state = f"statuses={statuses} outstanding={outstanding} routed={routed}"
+        assert not any(thread.is_alive() for thread in threads), state
+        assert statuses == [200] * (senders * rounds), state
+        assert outstanding == {"replica-0": 0, "replica-1": 0}, state
+        assert sum(routed.values()) == senders * rounds, state
+        assert min(routed.values()) > 0, state
 
     def test_no_replicas_is_a_503(self):
         with ClusterGateway(port=0) as gateway:
@@ -612,6 +616,39 @@ class TestGatewayRouting:
         assert body["pid"] == os.getpid()
         assert body["replicas_registered"] == 2
         assert body["replicas_alive"] == ["replica-0", "replica-1"]
+
+
+def _median_ms(call, repeats=20):
+    """Median wall time of ``repeats`` sequential calls, after a warm-up."""
+    call()
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append((time.perf_counter() - start) * 1e3)
+    return statistics.median(times)
+
+
+class TestGatewayOverSocket:
+    def test_keep_alive_round_trips_skip_the_delayed_ack(self):
+        """The gateway answers with the same handler as a replica, so its
+        responses also leave as headers-then-body writes; with Nagle on,
+        each one waited ~40 ms for the client's delayed ACK (~48 ms per
+        round trip through the gateway, ~3 ms without)."""
+        image = _image((64, 64))
+        replica = SegmentationHTTPServer(
+            "threshold", port=0, serving={"mode": "thread", "num_workers": 1}
+        )
+        with replica.start(), ClusterGateway(port=0) as gateway:
+            gateway.register_replica("replica-0", replica.host, replica.port)
+            gateway.wait_ready(timeout=30.0)
+            gateway.start()
+            with ReplicaClient("gateway", gateway.host, gateway.port) as client:
+                segment_ms = _median_ms(lambda: client.segment_raw([image]))
+                healthz_ms = _median_ms(lambda: client.get_json("/healthz"))
+                assert client.connections_created == 1
+        assert segment_ms < 20.0, f"segment_raw median {segment_ms:.1f} ms"
+        assert healthz_ms < 20.0, f"/healthz median {healthz_ms:.1f} ms"
 
 
 @pytest.fixture()

@@ -10,12 +10,20 @@ Three layers of coverage:
 * a real ``ThreadingHTTPServer`` socket round-trip via ``urllib``, with
   label-map parity against a direct :class:`SegHDCEngine` run on both
   compute backends, plus the process-mode shared grid cache observed
-  through ``GET /stats``.
+  through ``GET /stats``, keep-alive round-trip latency (no delayed-ACK
+  stall), ``Expect: 100-continue`` and stream headers sent before the
+  first frame.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import socket
+import statistics
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -24,6 +32,7 @@ import pytest
 
 from repro.seghdc import SegHDCConfig, SegHDCEngine
 from repro.serving import HTTPRequestError, SegmentationHTTPServer
+from repro.serving.cluster import ReplicaClient
 from repro.serving.http import (
     FRAME_MAGIC,
     RawResponse,
@@ -65,6 +74,39 @@ def _labels_from(entry, encoding):
             io.BytesIO(base64.b64decode(entry["labels"])), allow_pickle=False
         )
     return np.asarray(entry["labels"])
+
+
+def _median_ms(call, repeats=20):
+    """Median wall time of ``repeats`` sequential calls, after a warm-up."""
+    call()
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append((time.perf_counter() - start) * 1e3)
+    return statistics.median(times)
+
+
+def _read_head(reader) -> list:
+    """One response's status line and header lines, up to the blank line."""
+    lines = []
+    while True:
+        line = reader.readline()
+        if line in (b"\r\n", b""):
+            return lines
+        lines.append(line.rstrip(b"\r\n"))
+
+
+def _read_chunked(reader) -> bytes:
+    """Decode a ``Transfer-Encoding: chunked`` body up to its end marker."""
+    body = b""
+    while True:
+        size = int(reader.readline().strip(), 16)
+        if size == 0:
+            reader.readline()
+            return body
+        body += reader.read(size)
+        reader.readline()
 
 
 @pytest.fixture()
@@ -195,6 +237,42 @@ class TestZeroCopyCodecs:
         np.save(buffer, np.array([{"a": 1}], dtype=object), allow_pickle=True)
         with pytest.raises(HTTPRequestError, match="object"):
             array_from_npy_bytes(buffer.getvalue())
+
+    def test_concurrent_header_parses_never_fail(self):
+        """Handler threads decode bodies at once.  A garbage-collector
+        finalizer that switches threads inside one header's
+        ``ast.literal_eval`` must not break another's parse: without the
+        header lock CPython 3.11 fails dozens of these decodes with
+        ``AST constructor recursion depth mismatch`` (a spurious 400)."""
+        body = npy_bytes(_image())
+        failures: list = []
+
+        class _Finalized:
+            def __del__(self):
+                sum(range(3))  # Python code in a finalizer: a switch point
+
+        def decode() -> None:
+            for _ in range(500):
+                cycle = _Finalized()
+                cycle.self = cycle  # only the cycle collector frees it
+                try:
+                    array_from_npy_bytes(body)
+                except HTTPRequestError as exc:
+                    failures.append(str(exc))
+
+        threshold, interval = gc.get_threshold(), sys.getswitchinterval()
+        gc.set_threshold(50)
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=decode) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            gc.set_threshold(*threshold)
+            sys.setswitchinterval(interval)
+        assert failures == [], f"{len(failures)} failed, e.g. {failures[0]}"
 
     def test_frame_container_roundtrip(self):
         arrays = [_image((5, 6), seed=i) for i in range(3)]
@@ -749,6 +827,101 @@ class TestOverSocket:
         transport = stats["http"]["transport"]
         assert transport["http-raw"]["images"] == 2
         assert transport["http-raw"]["bytes_out"] == len(body)
+
+    def test_keep_alive_round_trips_skip_the_delayed_ack(self):
+        """A response leaves as two writes, headers then body.  With Nagle
+        on, the body waited for the client's ACK of the headers, which a
+        keep-alive client delays ~40 ms: every round trip took ~44 ms
+        where ~2 ms is the real cost."""
+        image = _image((64, 64))
+        with SegmentationHTTPServer(
+            "threshold", port=0, serving={"mode": "thread", "num_workers": 1}
+        ) as server:
+            server.start()
+            with ReplicaClient("r0", server.host, server.port) as client:
+                segment_ms = _median_ms(lambda: client.segment_raw([image]))
+                healthz_ms = _median_ms(lambda: client.get_json("/healthz"))
+                assert client.connections_created == 1
+        assert segment_ms < 15.0, f"segment_raw median {segment_ms:.1f} ms"
+        assert healthz_ms < 15.0, f"/healthz median {healthz_ms:.1f} ms"
+
+    def test_expect_100_continue_is_answered_before_the_body(self):
+        """curl sends ``Expect: 100-continue`` on large uploads and holds
+        the body until the interim response arrives.  ``wfile`` must stay
+        unbuffered: a buffered one keeps the ``100 Continue`` that
+        ``handle_expect_100`` writes, and the upload stalls."""
+        image = _image()
+        body = npy_bytes(image)
+        expected = SegHDCEngine(_config()).segment(image).labels
+        with SegmentationHTTPServer(_config(), port=0) as server:
+            server.start()
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as conn, conn.makefile("rb") as reader:
+                conn.sendall(
+                    b"POST /v1/segment HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Type: application/octet-stream\r\n"
+                    b"Content-Length: %d\r\n"
+                    b"Expect: 100-continue\r\n\r\n" % len(body)
+                )
+                conn.settimeout(1.0)
+                interim = _read_head(reader)
+                assert interim == [b"HTTP/1.1 100 Continue"], interim
+                conn.settimeout(30.0)
+                conn.sendall(body)
+                head = _read_head(reader)
+                assert head[0].startswith(b"HTTP/1.1 200"), head
+                headers = dict(line.lower().split(b": ", 1) for line in head[1:])
+                labels = array_from_npy_bytes(
+                    reader.read(int(headers[b"content-length"]))
+                )
+        assert np.array_equal(labels, expected)
+
+    def test_stream_headers_arrive_before_the_first_frame(self, monkeypatch):
+        """A ``/v1/segment-stream`` client gets the 200 and its headers
+        while the producer is still held; a buffered ``wfile`` would keep
+        them until the first chunk is written."""
+        images = [_image(seed=i) for i in range(2)]
+        expected = SegHDCEngine(_config()).segment_batch(images)
+        body = pack_frames(enumerate(images))
+        release = threading.Event()
+        with SegmentationHTTPServer(_config(), port=0) as server:
+            produce = server._handle_segment_stream
+
+            def held(request):
+                response = produce(request)
+
+                def chunks():
+                    release.wait(30.0)
+                    yield from response.chunks
+
+                return StreamingResponse(chunks(), response.content_type)
+
+            monkeypatch.setattr(server, "_handle_segment_stream", held)
+            server.start()
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as conn, conn.makefile("rb") as reader:
+                conn.sendall(
+                    b"POST /v1/segment-stream HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Type: application/octet-stream\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(body) + body
+                )
+                conn.settimeout(1.0)
+                try:
+                    head = _read_head(reader)
+                finally:
+                    release.set()
+                assert head[0].startswith(b"HTTP/1.1 200"), head
+                assert b"transfer-encoding: chunked" in [
+                    line.lower() for line in head[1:]
+                ], head
+                conn.settimeout(30.0)
+                payload = _read_chunked(reader)
+        entries = dict(unpack_frames(payload))
+        assert sorted(entries) == list(range(len(images)))
+        for index, reference in enumerate(expected):
+            assert np.array_equal(entries[index], reference.labels)
 
     def test_segment_stream_chunked_over_socket(self):
         """The streaming endpoint over a real socket: urllib transparently
